@@ -25,7 +25,8 @@ import (
 // JobModel builds the engine model spec selected by the -model/-scenario
 // flag pair. A model file is loaded eagerly and inlined into the spec so
 // that the job hash covers the model parameters rather than the path; a
-// scenario is validated here but carried by reference (name + seed).
+// scenario's name is validated here but nothing is generated: it is
+// carried by reference (name + seed), and the engine generates it once.
 func JobModel(modelPath, scenarioName string, seed uint64) (engine.ModelSpec, error) {
 	switch {
 	case modelPath != "" && scenarioName != "":
@@ -37,7 +38,7 @@ func JobModel(modelPath, scenarioName string, seed uint64) (engine.ModelSpec, er
 		}
 		return engine.ModelFromFaultSet(fs, name), nil
 	case scenarioName != "":
-		if _, err := scenario.ByName(scenarioName, seed); err != nil {
+		if err := scenario.CheckName(scenarioName); err != nil {
 			return engine.ModelSpec{}, err
 		}
 		return engine.ModelSpec{Scenario: scenarioName, ScenarioSeed: seed}, nil

@@ -51,6 +51,7 @@ type Options struct {
 // Engine executes jobs, caching results by canonical job hash.
 type Engine struct {
 	cache      *lruCache // nil when caching is disabled
+	models     *modelMemo
 	progressMu sync.Mutex
 	progress   func(Progress)
 	tele       *telemetry.Registry // nil when telemetry is disabled
@@ -59,7 +60,7 @@ type Engine struct {
 
 // New returns an Engine with the given options.
 func New(opts Options) *Engine {
-	e := &Engine{progress: opts.Progress, tele: opts.Telemetry, logger: opts.Logger}
+	e := &Engine{models: sharedModels, progress: opts.Progress, tele: opts.Telemetry, logger: opts.Logger}
 	if !opts.DisableCache {
 		size := opts.CacheSize
 		if size <= 0 {
@@ -73,6 +74,10 @@ func New(opts Options) *Engine {
 			e.tele.Counter("engine.cache.misses")
 			e.tele.Counter("engine.cache.evictions")
 		}
+	}
+	if e.tele != nil {
+		e.tele.Counter("engine.model_memo.hits")
+		e.tele.Counter("engine.model_memo.misses")
 	}
 	// Pre-register the simulation kernel's metrics too: dashboards see
 	// sparse_skips_total and the per-mode throughput gauges at zero before
@@ -165,6 +170,10 @@ type Result struct {
 	RunID string
 	// ModelName and FaultSet describe the resolved model (nil for
 	// experiment-suite jobs, which sweep their own scenario populations).
+	// A scenario's FaultSet is the engine's memoised instance, shared with
+	// every other result and run over the same scenario and seed: it must
+	// never be modified, which FaultSet's API (derivations return copies)
+	// already guarantees.
 	ModelName string
 	FaultSet  *faultmodel.FaultSet
 	// Exactly one of the following is set, matching Kind.
@@ -245,7 +254,8 @@ func shortHash(hash string) string {
 // its queue-to-start latency (submission to compute start: validation,
 // hashing and the cache lookup), its duration under
 // "engine.job_duration_seconds.<kind>", cache traffic under
-// "engine.cache.{hits,misses,evictions}", and a per-run trace of nested
+// "engine.cache.{hits,misses,evictions}", scenario-model memo traffic
+// under "engine.model_memo.{hits,misses}", and a per-run trace of nested
 // spans stamped with a fresh run ID; the same run ID stamps the
 // logger's start/finish/error lines.
 func (e *Engine) Run(ctx context.Context, job Job) (*Result, error) {
@@ -318,7 +328,7 @@ func (e *Engine) RunWithProgress(ctx context.Context, job Job, progress func(Pro
 	case JobExperiments:
 		res, err = e.runExperiments(ctx, job.Experiments, span, emit)
 	case JobAnalytic:
-		res, err = e.runAnalytic(job.Analytic)
+		res, err = e.runAnalytic(job.Analytic, span)
 	default:
 		err = fmt.Errorf("engine: unknown job kind %q", job.Kind)
 	}
@@ -396,8 +406,28 @@ func stage(parent *telemetry.Span, name string) func() {
 	return sp.End
 }
 
+// resolveModel resolves a job's model through the engine's model memo
+// under a "resolve" span, counting memo hits and misses; inline models
+// bypass the memo and count as neither.
+func (e *Engine) resolveModel(spec ModelSpec, span *telemetry.Span) (*resolvedModel, error) {
+	end := stage(span, "resolve")
+	rm, hit, err := spec.resolve(e.models)
+	end()
+	if err != nil {
+		return nil, err
+	}
+	if spec.Scenario != "" {
+		if hit {
+			e.count("engine.model_memo.hits")
+		} else {
+			e.count("engine.model_memo.misses")
+		}
+	}
+	return rm, nil
+}
+
 func (e *Engine) runMonteCarlo(ctx context.Context, spec *MonteCarloSpec, span *telemetry.Span, emit func(Progress)) (*Result, error) {
-	fs, name, err := spec.Model.Resolve()
+	rm, err := e.resolveModel(spec.Model, span)
 	if err != nil {
 		return nil, err
 	}
@@ -405,14 +435,17 @@ func (e *Engine) runMonteCarlo(ctx context.Context, spec *MonteCarloSpec, span *
 	if err != nil {
 		return nil, err
 	}
+	// The independent process is memoised with its model, so its sparse
+	// groups and batch thresholds are built once per model; the
+	// common-cause process is cheap and built per run.
 	var proc devsim.Process
 	if spec.Correlation > 0 {
-		proc, err = devsim.NewCommonCauseProcess(fs, spec.Correlation, spec.Boost)
+		proc, err = devsim.NewCommonCauseProcess(rm.fs, spec.Correlation, spec.Boost)
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		proc = devsim.NewIndependentProcess(fs)
+		proc = rm.independent()
 	}
 	var repSpan *telemetry.Span
 	if span != nil {
@@ -438,7 +471,7 @@ func (e *Engine) runMonteCarlo(ctx context.Context, spec *MonteCarloSpec, span *
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ModelName: name, FaultSet: fs, MonteCarlo: mc}, nil
+	return &Result{ModelName: rm.name, FaultSet: rm.fs, MonteCarlo: mc}, nil
 }
 
 // rareStageOpts builds estimator options that forward intermediate Done
@@ -457,10 +490,11 @@ func (e *Engine) rareStageOpts(name string, sparse bool, batchWidth int, adj sys
 }
 
 func (e *Engine) runRareEvent(ctx context.Context, spec *RareEventSpec, span *telemetry.Span, emit func(Progress)) (*Result, error) {
-	fs, name, err := spec.Model.Resolve()
+	rm, err := e.resolveModel(spec.Model, span)
 	if err != nil {
 		return nil, err
 	}
+	fs := rm.fs
 	adj, err := ResolveAdjudicator("", spec.Adjudicator, spec.Versions)
 	if err != nil {
 		return nil, err
@@ -490,7 +524,7 @@ func (e *Engine) runRareEvent(ctx context.Context, spec *RareEventSpec, span *te
 		return nil, err
 	}
 	return &Result{
-		ModelName: name,
+		ModelName: rm.name,
 		FaultSet:  fs,
 		RareEvent: &RareEventResult{ImportanceSampling: is, Naive: naive, ClosedForm: truth},
 	}, nil
@@ -520,11 +554,12 @@ func (e *Engine) runExperiments(ctx context.Context, spec *ExperimentsSpec, span
 	return &Result{Experiments: results}, nil
 }
 
-func (e *Engine) runAnalytic(spec *AnalyticSpec) (*Result, error) {
-	fs, name, err := spec.Model.Resolve()
+func (e *Engine) runAnalytic(spec *AnalyticSpec, span *telemetry.Span) (*Result, error) {
+	rm, err := e.resolveModel(spec.Model, span)
 	if err != nil {
 		return nil, err
 	}
+	fs := rm.fs
 	gain, err := fs.Gain(spec.K)
 	if err != nil {
 		return nil, err
@@ -561,5 +596,5 @@ func (e *Engine) runAnalytic(spec *AnalyticSpec) (*Result, error) {
 		}
 		ar.Bounds = append(ar.Bounds, cb)
 	}
-	return &Result{ModelName: name, FaultSet: fs, Analytic: ar}, nil
+	return &Result{ModelName: rm.name, FaultSet: fs, Analytic: ar}, nil
 }

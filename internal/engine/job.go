@@ -82,23 +82,33 @@ func (m ModelSpec) validate() error {
 }
 
 // Resolve generates or assembles the fault set the spec names, returning
-// it with its display name.
+// it with its display name. Scenario models come from a small
+// process-wide memo keyed by (scenario, seed), so repeated resolves of one
+// scenario generate it once and share the fault set; inline faults are
+// assembled afresh, which costs only their validation.
 func (m ModelSpec) Resolve() (*faultmodel.FaultSet, string, error) {
-	if err := m.validate(); err != nil {
+	rm, _, err := m.resolve(sharedModels)
+	if err != nil {
 		return nil, "", err
 	}
+	return rm.fs, rm.name, nil
+}
+
+// resolve resolves the spec through memo; hit reports a memoised
+// scenario.
+func (m ModelSpec) resolve(memo *modelMemo) (rm *resolvedModel, hit bool, err error) {
+	if err := m.validate(); err != nil {
+		return nil, false, err
+	}
 	if m.Scenario != "" {
-		sc, err := scenario.ByName(m.Scenario, m.ScenarioSeed)
-		if err != nil {
-			return nil, "", fmt.Errorf("engine: %w", err)
-		}
-		return sc.FaultSet, sc.Name, nil
+		rm, hit = memo.get(m.Scenario, m.ScenarioSeed)
+		return rm, hit, rm.err
 	}
 	fs, err := faultmodel.New(m.Faults)
 	if err != nil {
-		return nil, "", fmt.Errorf("engine: inline model invalid: %w", err)
+		return nil, false, fmt.Errorf("engine: inline model invalid: %w", err)
 	}
-	return fs, m.Name, nil
+	return &resolvedModel{fs: fs, name: m.Name}, false, nil
 }
 
 // ModelFromFaultSet returns an inline ModelSpec carrying the fault set's

@@ -101,10 +101,10 @@ func TestTelemetryTraceShape(t *testing.T) {
 	if !strings.HasPrefix(runs[0].ID, "run-") {
 		t.Errorf("trace ID = %q, want run-…", runs[0].ID)
 	}
-	if len(root.Children) != 1 || root.Children[0].Name != "replications" {
-		t.Fatalf("stage spans = %+v, want one replications span", root.Children)
+	if len(root.Children) != 2 || root.Children[0].Name != "resolve" || root.Children[1].Name != "replications" {
+		t.Fatalf("stage spans = %+v, want resolve then replications", root.Children)
 	}
-	shards := root.Children[0].Children
+	shards := root.Children[1].Children
 	if len(shards) != 2 {
 		t.Fatalf("shard spans = %+v, want 2", shards)
 	}

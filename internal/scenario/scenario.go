@@ -279,11 +279,27 @@ func Names() []string {
 	return []string{"safety-grade", "many-small-faults", "commercial-grade", "n-version-pool", "million-faults"}
 }
 
+// CheckName returns nil if ByName accepts name and ByName's error if it
+// does not, without generating anything.
+func CheckName(name string) error {
+	for _, known := range Names() {
+		if name == known {
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown scenario %q (want %s)", name, strings.Join(Names(), ", "))
+}
+
+// SeedIgnored reports whether ByName ignores the seed for the named
+// scenario, so that every seed generates the same fault set.
+func SeedIgnored(name string) bool { return name == "million-faults" }
+
 // ByName generates the named scenario from seed. It is the single
 // name-to-scenario mapping shared by the CLIs and the execution engine.
-// "million-faults" is deterministic and ignores the seed; it is addressable
-// by name but deliberately absent from All(), whose consumers sweep dense
-// replication counts that a 10^6-fault universe would stall.
+// "million-faults" is deterministic and ignores the seed (SeedIgnored); it
+// is addressable by name but deliberately absent from All(), whose
+// consumers sweep dense replication counts that a 10^6-fault universe
+// would stall.
 func ByName(name string, seed uint64) (Scenario, error) {
 	switch name {
 	case "safety-grade":
@@ -302,7 +318,7 @@ func ByName(name string, seed uint64) (Scenario, error) {
 		s.Name = "million-faults"
 		return s, nil
 	default:
-		return Scenario{}, fmt.Errorf("unknown scenario %q (want %s)", name, strings.Join(Names(), ", "))
+		return Scenario{}, CheckName(name)
 	}
 }
 

@@ -49,21 +49,11 @@ func encodeResult(res *engine.Result) (json.RawMessage, error) {
 	})
 }
 
-// modelResolver memoises fault-set resolution across one replay, so a
-// ledger full of jobs over the same scenario resolves it once.
-type modelResolver struct {
-	cache map[string]*faultmodel.FaultSet
-}
-
-func newModelResolver() *modelResolver {
-	return &modelResolver{cache: make(map[string]*faultmodel.FaultSet)}
-}
-
-// resolve rebuilds the fault set of the job's model spec, best effort:
-// a spec that no longer resolves (a scenario renamed across versions)
-// yields nil, and the replayed result simply omits the model fault
-// count.
-func (r *modelResolver) resolve(job engine.Job) *faultmodel.FaultSet {
+// replayFaultSet resolves the fault set of the job's model spec through
+// the engine's memoised ModelSpec.Resolve, best effort: a spec that no
+// longer resolves (a scenario renamed across versions) yields nil, and
+// the replayed result simply omits the model fault count.
+func replayFaultSet(job engine.Job) *faultmodel.FaultSet {
 	var spec *engine.ModelSpec
 	switch {
 	case job.MonteCarlo != nil:
@@ -75,24 +65,16 @@ func (r *modelResolver) resolve(job engine.Job) *faultmodel.FaultSet {
 	default:
 		return nil // experiment suites sweep their own populations
 	}
-	key, err := json.Marshal(spec)
+	fs, _, err := spec.Resolve()
 	if err != nil {
 		return nil
 	}
-	if fs, ok := r.cache[string(key)]; ok {
-		return fs
-	}
-	fs, _, err := spec.Resolve()
-	if err != nil {
-		fs = nil
-	}
-	r.cache[string(key)] = fs
 	return fs
 }
 
 // decodeResult rebuilds an engine result from its persisted form,
 // reattaching the fault set resolved from the job spec.
-func (r *modelResolver) decodeResult(raw json.RawMessage, job engine.Job) (*engine.Result, error) {
+func decodeResult(raw json.RawMessage, job engine.Job) (*engine.Result, error) {
 	var sr storedResult
 	if err := json.Unmarshal(raw, &sr); err != nil {
 		return nil, err
@@ -104,7 +86,7 @@ func (r *modelResolver) decodeResult(raw json.RawMessage, job engine.Job) (*engi
 		FromCache:   sr.FromCache,
 		RunID:       sr.RunID,
 		ModelName:   sr.ModelName,
-		FaultSet:    r.resolve(job),
+		FaultSet:    replayFaultSet(job),
 		MonteCarlo:  sr.MonteCarlo,
 		RareEvent:   sr.RareEvent,
 		Experiments: sr.Experiments,
@@ -184,7 +166,6 @@ func (s *Server) replayFromStore() {
 	defer s.mu.Unlock()
 	records := s.store.Jobs()
 	s.seq = s.store.MaxSeq()
-	resolver := newModelResolver()
 	var interrupted, warmed int
 	for i := range records {
 		rec := &records[i]
@@ -223,7 +204,7 @@ func (s *Server) replayFromStore() {
 			interrupted++
 		case statusDone:
 			if len(rec.Result) > 0 {
-				res, err := resolver.decodeResult(rec.Result, js.job)
+				res, err := decodeResult(rec.Result, js.job)
 				if err != nil {
 					if s.log != nil {
 						s.log.Warn("replayed job has an undecodable result", "id", rec.ID, "error", err)
