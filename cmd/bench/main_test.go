@@ -27,7 +27,8 @@ func TestParseInts(t *testing.T) {
 }
 
 func TestBenchMatrix(t *testing.T) {
-	t.Parallel()
+	// Not parallel: allocs_per_rep is a process-wide MemStats delta, so
+	// a concurrently running test's allocations would be charged to it.
 
 	out := filepath.Join(t.TempDir(), "bench.json")
 	var stdout strings.Builder
@@ -77,15 +78,15 @@ func TestBenchMatrix(t *testing.T) {
 		}
 	}
 	// The two modes sample the same population, so their means agree
-	// exactly; streaming must allocate far less than buffered.
+	// exactly, and both run the allocation-free dense step: only
+	// run-level overhead remains, amortised below one object per rep.
 	if buffered.MeanSystemPFD != streaming.MeanSystemPFD {
 		t.Errorf("means diverged across modes: %v vs %v", buffered.MeanSystemPFD, streaming.MeanSystemPFD)
 	}
-	if streaming.AllocsPerRep >= buffered.AllocsPerRep {
-		t.Errorf("streaming allocs/rep %v not below buffered %v", streaming.AllocsPerRep, buffered.AllocsPerRep)
-	}
-	if streaming.AllocsPerRep > 1 {
-		t.Errorf("streaming allocs/rep = %v, want (amortised) below 1", streaming.AllocsPerRep)
+	for _, row := range rep.Rows {
+		if row.AllocsPerRep > 1 {
+			t.Errorf("streaming=%v allocs/rep = %v, want (amortised) at most 1", row.Streaming, row.AllocsPerRep)
+		}
 	}
 }
 

@@ -160,9 +160,9 @@ func scatterRows(rows []uint64, cols []*Bitset, n int) {
 	}
 }
 
-// batchThresholds builds the per-fault integer thresholds once.
-func (p *IndependentProcess) batchThresholds() []uint64 {
-	p.batchOnce.Do(func() {
+// bernoulliThresholds builds the per-fault integer thresholds once.
+func (p *IndependentProcess) bernoulliThresholds() []uint64 {
+	p.thresholdOnce.Do(func() {
 		p.thresholds = make([]uint64, p.fs.N())
 		for i := range p.thresholds {
 			p.thresholds[i] = BernoulliThreshold(p.fs.Fault(i).P)
@@ -183,7 +183,7 @@ func (p *IndependentProcess) DevelopBatch(r *randx.Stream, cols []*Bitset, scrat
 	width := len(cols)
 	_, _, rows := batchLayout(scratch, width, n)
 	g := (width + 63) / 64
-	for i, t := range p.batchThresholds() {
+	for i, t := range p.bernoulliThresholds() {
 		row := rows[i*g : i*g+g]
 		if t == 0 {
 			zeroRow(row)

@@ -33,6 +33,28 @@ func NewBitset(n int) *Bitset {
 	return &Bitset{n: n, words: make([]uint64, (n+63)/64)}
 }
 
+// NewBitsets returns k empty masks over a universe of n faults, carved
+// from one word arena and one touched-list arena. Each touched list has
+// room for every word, so Set never reallocates: a worker's whole mask
+// set costs a fixed four allocations however many replications it
+// develops. It panics if n or k is negative.
+func NewBitsets(n, k int) []*Bitset {
+	if n < 0 || k < 0 {
+		panic(fmt.Sprintf("devsim: NewBitsets called with negative size %d or count %d", n, k))
+	}
+	nw := (n + 63) / 64
+	sets := make([]Bitset, k)
+	words := make([]uint64, k*nw)
+	touched := make([]int32, k*nw)
+	out := make([]*Bitset, k)
+	for i := range sets {
+		lo, hi := i*nw, (i+1)*nw
+		sets[i] = Bitset{n: n, words: words[lo:hi:hi], touched: touched[lo:lo:hi]}
+		out[i] = &sets[i]
+	}
+	return out
+}
+
 // Len returns the universe size in bits.
 func (b *Bitset) Len() int { return b.n }
 

@@ -60,6 +60,41 @@ func TestBitsetZeroLen(t *testing.T) {
 	b.Reset() // must not panic
 }
 
+// TestNewBitsetsIndependentAndAllocationFree: masks carved from one
+// arena behave as separate NewBitset masks — filling one to its last
+// word leaves its neighbours empty — and Set never allocates, because
+// every touched list was sized for all of its mask's words.
+func TestNewBitsetsIndependentAndAllocationFree(t *testing.T) {
+	const n = 130
+	sets := NewBitsets(n, 3)
+	if len(sets) != 3 {
+		t.Fatalf("NewBitsets returned %d masks, want 3", len(sets))
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		sets[1].Reset()
+		for i := 0; i < n; i++ {
+			sets[1].Set(i)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("setting every bit of an arena mask allocated %v objects, want 0", allocs)
+	}
+	if got := sets[1].Count(); got != n {
+		t.Errorf("Count = %d, want %d", got, n)
+	}
+	for _, i := range []int{0, 2} {
+		if sets[i].Len() != n || sets[i].NumWords() != 3 {
+			t.Fatalf("mask %d: Len=%d NumWords=%d, want %d and 3", i, sets[i].Len(), sets[i].NumWords(), n)
+		}
+		if sets[i].Count() != 0 || len(sets[i].Touched()) != 0 {
+			t.Errorf("mask %d picked up its neighbour's bits: Count=%d Touched=%v", i, sets[i].Count(), sets[i].Touched())
+		}
+	}
+	if got := NewBitsets(0, 2); len(got) != 2 || got[0].NumWords() != 0 {
+		t.Errorf("zero-length arena: %d masks, %d words", len(got), got[0].NumWords())
+	}
+}
+
 func TestBitsetNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

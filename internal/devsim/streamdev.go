@@ -7,8 +7,9 @@ import "diversity/internal/randx"
 // into a caller-owned scratch slice, drawing exactly the same variates in
 // the same order as Develop. For a fixed random stream the two entry
 // points therefore produce identical version populations; the Monte-Carlo
-// harness relies on this in streaming mode to drop the per-replication
-// Version allocation without changing any sampled value.
+// harness's dense step relies on this in both aggregation modes to drop
+// the per-replication Version allocation without changing any sampled
+// value.
 //
 // All processes in this package implement MaskDeveloper; Develop is a
 // thin wrapper that allocates a mask and delegates to DevelopInto.
@@ -18,9 +19,9 @@ type MaskDeveloper interface {
 	DevelopInto(r *randx.Stream, present []bool)
 }
 
-// The conformance guards keep every process on the allocation-free
-// streaming path; removing one silently falls back to per-replication
-// Version allocation in streaming Monte-Carlo runs.
+// The conformance guards keep every process on the allocation-free dense
+// path; removing one silently falls back to a per-replication Develop
+// (and its Version allocation) in dense Monte-Carlo runs.
 var (
 	_ MaskDeveloper = (*IndependentProcess)(nil)
 	_ MaskDeveloper = (*CommonCauseProcess)(nil)

@@ -169,10 +169,11 @@ type IndependentProcess struct {
 	sparseOnce sync.Once
 	groups     []faultGroup
 
-	// Batched-kernel state, built lazily on first DevelopBatch: one
-	// integer Bernoulli threshold per fault (see bernoulliThreshold).
-	batchOnce  sync.Once
-	thresholds []uint64
+	// Per-fault integer Bernoulli thresholds (see BernoulliThreshold),
+	// built lazily on first use and shared by the dense (DevelopInto) and
+	// batched (DevelopBatch) kernels.
+	thresholdOnce sync.Once
+	thresholds    []uint64
 }
 
 // minGeometricGroup is the smallest group size worth skip-sampling: below
@@ -219,11 +220,12 @@ func (p *IndependentProcess) Develop(r *randx.Stream) *Version {
 
 // DevelopInto implements MaskDeveloper: the same draws as Develop, into a
 // caller-owned mask. Each p_i was validated into [0, 1] when the fault
-// set was built, so the loop uses the clamp-free Bernoulli form.
+// set was built, so every fault draws once, and the mask comes from one
+// register-resident randx.Stream.BernoulliMask fill against the
+// precomputed thresholds: the same outcomes and stream state as one
+// BernoulliValidated(p_i) call per fault.
 func (p *IndependentProcess) DevelopInto(r *randx.Stream, present []bool) {
-	for i := range present {
-		present[i] = r.BernoulliValidated(p.fs.Fault(i).P)
-	}
+	r.BernoulliMask(p.bernoulliThresholds(), present)
 }
 
 // sparseGroups builds (once) the equal-p fault groups the sparse kernel

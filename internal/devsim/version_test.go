@@ -2,6 +2,7 @@ package devsim
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"diversity/internal/faultmodel"
@@ -48,6 +49,39 @@ func TestIndependentProcessMarginals(t *testing.T) {
 			t.Errorf("fault %d present fraction %.5f, want %.5f±%.5f", i, got, want, tol)
 		}
 	}
+}
+
+// TestIndependentDevelopIntoConcurrentColdStart develops masks from
+// several goroutines on a fresh process, so the lazily built thresholds
+// are first requested concurrently, and checks every mask against the
+// element-wise BernoulliValidated draws of a twin stream.
+func TestIndependentDevelopIntoConcurrentColdStart(t *testing.T) {
+	t.Parallel()
+
+	fs := mustFaultSet(t, []faultmodel.Fault{
+		{P: 0, Q: 0.01}, {P: 0.1, Q: 0.01}, {P: 0.5, Q: 0.02},
+		{P: 0.9, Q: 0.03}, {P: 1, Q: 0.01},
+	})
+	proc := NewIndependentProcess(fs)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			r, ref := randx.NewStream(seed), randx.NewStream(seed)
+			mask := make([]bool, fs.N())
+			for rep := 0; rep < 200; rep++ {
+				proc.DevelopInto(r, mask)
+				for i, got := range mask {
+					if want := ref.BernoulliValidated(fs.Fault(i).P); got != want {
+						t.Errorf("seed %d rep %d fault %d: DevelopInto %v, BernoulliValidated %v", seed, rep, i, got, want)
+						return
+					}
+				}
+			}
+		}(uint64(w + 1))
+	}
+	wg.Wait()
 }
 
 func TestVersionPFDAndCount(t *testing.T) {

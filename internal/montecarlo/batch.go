@@ -10,7 +10,8 @@ import (
 // maxBatchArenaWords bounds the per-worker arena of the batched kernel:
 // versions × width bitset columns of (n+63)/64 words each, plus the
 // fault-major mask rows the development transpose reads (about one more
-// column arena's worth). 1<<22 words is 32 MiB per worker — wide enough
+// column arena's worth). The columns' touched lists add half a word per
+// column word on top. 1<<22 words is 32 MiB per worker — wide enough
 // that every practical scenario gets its full requested width, small
 // enough that a wide request over a million-fault universe cannot
 // exhaust memory across many workers.
@@ -56,11 +57,7 @@ type batchWorker struct {
 	slot  []*devsim.Bitset   // one replication's masks across versions
 	draws []uint64           // FillUint64 scratch, devsim.BatchDrawsLen(width)
 
-	// Exactly one sink pair is active: streaming aggregates or the
-	// buffered result slices (indexed by global replication number).
-	vAgg, sAgg            *Agg
-	versionPFD, systemPFD []float64
-	counts                *[2]int // (versionFaultFree, systemFaultFree)
+	sink sink // the worker's output in the run's aggregation mode
 }
 
 // newBatchWorker builds the arena for one worker shard.
@@ -72,11 +69,9 @@ func newBatchWorker(fs *faultmodel.FaultSet, adj system.Adjudicator, r *randx.St
 		slot:  make([]*devsim.Bitset, versions),
 		draws: make([]uint64, devsim.BatchScratchLen(width, fs.N())),
 	}
+	arena := devsim.NewBitsets(fs.N(), versions*width)
 	for v := range bw.cols {
-		bw.cols[v] = make([]*devsim.Bitset, width)
-		for j := range bw.cols[v] {
-			bw.cols[v][j] = devsim.NewBitset(fs.N())
-		}
+		bw.cols[v] = arena[v*width : (v+1)*width : (v+1)*width]
 	}
 	return bw
 }
@@ -113,19 +108,7 @@ func (bw *batchWorker) run(lo, hi int) error {
 			}
 			vpfd, vcount := sparsePFD(bw.fs, bw.slot[0])
 			spfd, scount := system.BitsetSystemPFD(bw.fs, bw.adj, bw.slot)
-			if bw.vAgg != nil {
-				bw.vAgg.Observe(vpfd)
-				bw.sAgg.Observe(spfd)
-			} else {
-				bw.versionPFD[base+j] = vpfd
-				bw.systemPFD[base+j] = spfd
-			}
-			if vcount == 0 {
-				bw.counts[0]++
-			}
-			if scount == 0 {
-				bw.counts[1]++
-			}
+			bw.sink.record(base+j, vpfd, vcount, spfd, scount)
 		}
 	}
 	return nil

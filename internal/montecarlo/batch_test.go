@@ -70,6 +70,35 @@ func assertBatchedMatchesDense(t *testing.T, cfg Config, width int) {
 	}
 }
 
+// TestBatchedRunAllocationsFixed: a batched worker's columns come from
+// one arena whose touched lists never grow, so a batched run, dense or
+// sparse, allocates run-level overhead only, however wide its tiles and
+// however large the universe.
+func TestBatchedRunAllocationsFixed(t *testing.T) {
+	// Not parallel: allocation counting needs a quiet goroutine.
+	sc, err := scenario.LargeUniverse(10000)
+	if err != nil {
+		t.Fatalf("LargeUniverse: %v", err)
+	}
+	proc := devsim.NewIndependentProcess(sc.FaultSet)
+	for _, sparse := range []bool{false, true} {
+		cfg := Config{
+			Process: proc, Versions: 2, Reps: 1000, Seed: 1, Workers: 1,
+			Streaming: true, Sparse: sparse, BatchWidth: 64,
+		}
+		allocs := testing.AllocsPerRun(2, func() {
+			if _, err := Run(cfg); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		})
+		// 128 columns that each allocated on their own would cost
+		// hundreds of objects; run-level overhead is a few dozen.
+		if allocs > 100 {
+			t.Errorf("sparse=%v batched run allocated %v objects, want run-level overhead only (<= 100)", sparse, allocs)
+		}
+	}
+}
+
 // TestBatchedMatchesDenseCommercialGrade: the acceptance scenario the
 // bench headline is measured on.
 func TestBatchedMatchesDenseCommercialGrade(t *testing.T) {

@@ -9,16 +9,17 @@
 // random streams, so results are reproducible for a fixed seed and worker
 // count does not change the sampled distribution.
 //
-// The harness offers two aggregation modes. The default buffered mode
-// keeps every replication's version and system PFD in memory
-// (Result.VersionPFD/SystemPFD), supporting exact sample statistics at
-// O(Reps) memory. Streaming mode (Config.Streaming) folds each
-// replication into per-worker Agg accumulators — mergeable moments, a
-// log-scale histogram for quantiles, and fault-free counters — merged
-// deterministically in shard order, so memory stays constant in Reps and
-// the hot path performs no per-replication allocations. Both modes draw
-// identical random variates, so for a fixed seed and worker count they
-// observe exactly the same PFD population.
+// The harness offers two aggregation modes, which are two sinks of one
+// replication step. The default buffered mode keeps every replication's
+// version and system PFD in memory (Result.VersionPFD/SystemPFD),
+// supporting exact sample statistics at O(Reps) memory. Streaming mode
+// (Config.Streaming) folds each replication into per-worker Agg
+// accumulators — mergeable moments, a log-scale histogram for quantiles,
+// and fault-free counters — merged deterministically in shard order, so
+// memory stays constant in Reps. In either mode the replication step
+// reuses per-worker masks and performs no per-replication allocations,
+// and both modes draw identical random variates, so for a fixed seed and
+// worker count they observe exactly the same PFD population.
 package montecarlo
 
 import (
@@ -67,10 +68,13 @@ type Config struct {
 	// Streaming selects constant-memory aggregation: instead of buffering
 	// every replication's PFDs, the run folds them into mergeable
 	// Agg accumulators (Result.VersionAgg/SystemAgg) and leaves
-	// Result.VersionPFD/SystemPFD nil. The sampled population is
-	// identical to the buffered mode for the same seed and worker count;
-	// only the representation changes. Use Result.VersionSummary and
-	// Result.SystemSummary to read statistics uniformly in either mode.
+	// Result.VersionPFD/SystemPFD nil. Both modes run the same
+	// allocation-free replication step; only where its values go
+	// changes, so the sampled population is identical to the buffered
+	// mode for the same seed and worker count, and the buffered mode
+	// costs only its 16 bytes per replication of output. Use
+	// Result.VersionSummary and Result.SystemSummary to read statistics
+	// uniformly in either mode.
 	Streaming bool
 	// Sparse selects the sparse development kernel
 	// (devsim.SparseDeveloper): replications sample packed Bitset fault
@@ -261,8 +265,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	// The sparse kernel needs the SparseDeveloper extension; without it
-	// the run falls back to the dense path (mirroring the streaming
-	// mode's MaskDeveloper fallback).
+	// the run falls back to the dense path.
 	var sparseDev devsim.SparseDeveloper
 	if cfg.Sparse {
 		sparseDev, _ = cfg.Process.(devsim.SparseDeveloper)
@@ -331,17 +334,24 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 	// The cancellation watcher timestamps the moment the context is
 	// cancelled so the drain latency — cancellation to last worker exit —
-	// can be measured after wg.Wait.
+	// can be measured after wg.Wait. A context cancelled only just before
+	// the stop (both channels ready) is stamped on the stop, and the run
+	// waits for the watcher, so every cancelled run records its latency.
 	runStart := time.Now()
-	var cancelledAt atomic.Int64 // unix nanos; 0 = not cancelled
+	var cancelledAt int64 // unix nanos; 0 = not cancelled; read after watcherDone
 	watcherStop := make(chan struct{})
+	watcherDone := make(chan struct{})
 	if cfg.Metrics != nil {
 		go func() {
+			defer close(watcherDone)
 			select {
 			case <-ctx.Done():
-				cancelledAt.Store(time.Now().UnixNano())
 			case <-watcherStop:
+				if ctx.Err() == nil {
+					return
+				}
 			}
+			cancelledAt = time.Now().UnixNano()
 		}()
 	}
 	shardElapsed := make([]time.Duration, workers)
@@ -359,134 +369,60 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			defer func() { shardElapsed[w] = time.Since(shardStart) }()
 			r := streams[w]
 
-			// Each mode supplies one simulate(rep) step — or, for the
-			// batched kernel, one simulateBatch(lo, hi) tile step — and
-			// the chunk loop below (context checks, progress) is shared.
-			// The streaming fast path reuses per-worker presence masks
-			// through devsim.MaskDeveloper, so a replication performs no
-			// allocations at all; processes without that extension fall
-			// back to Develop, still at constant memory in Reps. The
-			// sparse kernel likewise reuses per-worker Bitset masks, in
-			// either aggregation mode, allocation-free per replication.
-			var simulate func(rep int) error
-			var simulateBatch func(lo, hi int) error
+			// Each kernel supplies one step over replications [lo, hi):
+			// the batched tile step, the sparse bitset step, or the dense
+			// mask step. The chunk loop below (context checks, progress)
+			// is shared, and every step records into the worker's sink,
+			// which alone knows the aggregation mode. The sparse and dense
+			// steps reuse per-worker masks, so in either mode a
+			// replication performs no allocations; a dense process without
+			// the MaskDeveloper extension is adapted by developMask.
+			out := sink{counts: &counts[w]}
+			if cfg.Streaming {
+				out.vAgg, out.sAgg = &vAggs[w], &sAggs[w]
+			} else {
+				out.versionPFD, out.systemPFD = res.VersionPFD, res.SystemPFD
+			}
+			var step func(lo, hi int) error
 			switch {
 			case res.Batched:
 				bw := newBatchWorker(fs, adj, r, cfg.Versions, batchWidth, batchDev, sparseDev)
 				bw.skips = &workerSkips[w]
-				bw.counts = &counts[w]
-				if cfg.Streaming {
-					bw.vAgg, bw.sAgg = &vAggs[w], &sAggs[w]
-				} else {
-					bw.versionPFD, bw.systemPFD = res.VersionPFD, res.SystemPFD
-				}
-				simulateBatch = bw.run
+				bw.sink = out
+				step = bw.run
 			case sparseDev != nil:
-				masks := make([]*devsim.Bitset, cfg.Versions)
+				masks := devsim.NewBitsets(fs.N(), cfg.Versions)
+				step = func(lo, hi int) error {
+					for rep := lo; rep < hi; rep++ {
+						skips := 0
+						for _, mask := range masks {
+							skips += sparseDev.DevelopSparse(r, mask)
+						}
+						workerSkips[w] += int64(skips)
+						vpfd, vcount := sparsePFD(fs, masks[0])
+						spfd, scount := system.BitsetSystemPFD(fs, adj, masks)
+						out.record(rep, vpfd, vcount, spfd, scount)
+					}
+					return nil
+				}
+			default:
+				md, _ := cfg.Process.(devsim.MaskDeveloper)
+				masks := make([][]bool, cfg.Versions)
 				for i := range masks {
-					masks[i] = devsim.NewBitset(fs.N())
+					masks[i] = make([]bool, fs.N())
 				}
-				if cfg.Streaming {
-					vAgg, sAgg := &vAggs[w], &sAggs[w]
-					simulate = func(int) error {
-						skips := 0
+				step = func(lo, hi int) error {
+					for rep := lo; rep < hi; rep++ {
 						for _, mask := range masks {
-							skips += sparseDev.DevelopSparse(r, mask)
-						}
-						workerSkips[w] += int64(skips)
-						vpfd, vcount := sparsePFD(fs, masks[0])
-						spfd, scount := system.BitsetSystemPFD(fs, adj, masks)
-						vAgg.Observe(vpfd)
-						sAgg.Observe(spfd)
-						if vcount == 0 {
-							counts[w][0]++
-						}
-						if scount == 0 {
-							counts[w][1]++
-						}
-						return nil
-					}
-				} else {
-					simulate = func(rep int) error {
-						skips := 0
-						for _, mask := range masks {
-							skips += sparseDev.DevelopSparse(r, mask)
-						}
-						workerSkips[w] += int64(skips)
-						vpfd, vcount := sparsePFD(fs, masks[0])
-						spfd, scount := system.BitsetSystemPFD(fs, adj, masks)
-						res.VersionPFD[rep] = vpfd
-						res.SystemPFD[rep] = spfd
-						if vcount == 0 {
-							counts[w][0]++
-						}
-						if scount == 0 {
-							counts[w][1]++
-						}
-						return nil
-					}
-				}
-			case cfg.Streaming:
-				vAgg, sAgg := &vAggs[w], &sAggs[w]
-				if md, ok := cfg.Process.(devsim.MaskDeveloper); ok {
-					masks := make([][]bool, cfg.Versions)
-					for i := range masks {
-						masks[i] = make([]bool, fs.N())
-					}
-					simulate = func(int) error {
-						for _, mask := range masks {
-							md.DevelopInto(r, mask)
+							if md != nil {
+								md.DevelopInto(r, mask)
+							} else if err := developMask(cfg.Process, r, mask); err != nil {
+								return err
+							}
 						}
 						vpfd, vcount := maskPFD(fs, masks[0])
 						spfd, scount := system.MaskSystemPFD(fs, adj, masks)
-						vAgg.Observe(vpfd)
-						sAgg.Observe(spfd)
-						if vcount == 0 {
-							counts[w][0]++
-						}
-						if scount == 0 {
-							counts[w][1]++
-						}
-						return nil
-					}
-				} else {
-					versions := make([]*devsim.Version, cfg.Versions)
-					simulate = func(int) error {
-						for i := range versions {
-							versions[i] = cfg.Process.Develop(r)
-						}
-						sys, err := system.NewVoted(fs, adj, versions...)
-						if err != nil {
-							return err
-						}
-						vAgg.Observe(versions[0].PFD())
-						sAgg.Observe(sys.PFD())
-						if versions[0].FaultCount() == 0 {
-							counts[w][0]++
-						}
-						if sys.SystemFaultCount() == 0 {
-							counts[w][1]++
-						}
-						return nil
-					}
-				}
-			default:
-				versions := make([]*devsim.Version, cfg.Versions)
-				simulate = func(rep int) error {
-					for i := range versions {
-						versions[i] = cfg.Process.Develop(r)
-					}
-					sys, err := system.NewVoted(fs, adj, versions...)
-					if err != nil {
-						return err
-					}
-					res.VersionPFD[rep] = versions[0].PFD()
-					res.SystemPFD[rep] = sys.PFD()
-					if versions[0].FaultCount() == 0 {
-						counts[w][0]++
-					}
-					if sys.SystemFaultCount() == 0 {
-						counts[w][1]++
+						out.record(rep, vpfd, vcount, spfd, scount)
 					}
 					return nil
 				}
@@ -506,26 +442,13 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				if hi > shards[w].hi {
 					hi = shards[w].hi
 				}
-				if simulateBatch != nil {
-					if err := simulateBatch(lo, hi); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						return
+				if err := step(lo, hi); err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
 					}
-				} else {
-					for rep := lo; rep < hi; rep++ {
-						if err := simulate(rep); err != nil {
-							mu.Lock()
-							if firstErr == nil {
-								firstErr = err
-							}
-							mu.Unlock()
-							return
-						}
-					}
+					mu.Unlock()
+					return
 				}
 				completed := done.Add(int64(hi - lo))
 				if cfg.Progress != nil {
@@ -540,7 +463,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	if cfg.Metrics != nil {
 		close(watcherStop)
-		recordRunMetrics(cfg.Metrics, runStart, done.Load(), shardElapsed, cancelledAt.Load(), res.Sparse, res.SparseSkips, res.Batched, res.BatchWidth, res.Adjudicator)
+		<-watcherDone
+		recordRunMetrics(cfg.Metrics, runStart, done.Load(), shardElapsed, cancelledAt, res.Sparse, res.SparseSkips, res.Batched, res.BatchWidth, res.Adjudicator)
 		if cfg.Streaming {
 			cfg.Metrics.Counter("montecarlo.streaming_runs_total").Add(1)
 		}

@@ -94,6 +94,40 @@ func TestCancelledRunRecordsLatency(t *testing.T) {
 	}
 }
 
+// TestCancelledAtLastChunkRecordsLatency cancels from the final chunk's
+// progress report, so the workers have already drained when the run
+// stops its cancellation watcher: the context and the stop signal are
+// both ready at once. The run must still record exactly one latency.
+func TestCancelledAtLastChunkRecordsLatency(t *testing.T) {
+	t.Parallel()
+
+	for _, workers := range []int{1, 2} {
+		reg := telemetry.NewRegistry()
+		ctx, cancel := context.WithCancel(context.Background())
+		cfg := Config{
+			Process:  testProcess(t),
+			Versions: 2,
+			Reps:     100,
+			Workers:  workers,
+			Seed:     1,
+			Progress: func(done, total int) {
+				if done == total {
+					cancel()
+				}
+			},
+			Metrics: reg,
+		}
+		_, err := RunContext(ctx, cfg)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: RunContext: err = %v, want context.Canceled", workers, err)
+		}
+		if h := reg.Snapshot().Histograms["montecarlo.cancellation_latency_seconds"]; h.Count != 1 {
+			t.Errorf("workers=%d: cancellation latency observations = %d, want 1", workers, h.Count)
+		}
+	}
+}
+
 // TestRareOptsProgressMonotonic asserts the estimators' progress
 // contract directly: Done starts at 0, never decreases, includes
 // intermediate counts past the context-check boundary, and ends at

@@ -90,6 +90,31 @@ func (s *Source) Fill(dst []uint64) {
 	s.s[0], s.s[1], s.s[2], s.s[3] = s0, s1, s2, s3
 }
 
+// BernoulliMask overwrites dst with len(dst) Bernoulli outcomes, dst[i]
+// true exactly when the i-th draw u satisfies u>>11 < t[i]. It draws the
+// same values as len(dst) Uint64 calls and, like Fill, keeps the
+// generator state in locals for the whole loop, so each compare happens
+// while its draw is still in a register. With t[i] the 53-bit threshold
+// ceil(p_i * 2^53), dst[i] equals Float64() < p_i draw for draw. t must
+// hold at least len(dst) thresholds.
+func (s *Source) BernoulliMask(t []uint64, dst []bool) {
+	t = t[:len(dst)]
+	s0, s1, s2, s3 := s.s[0], s.s[1], s.s[2], s.s[3]
+	for i := range dst {
+		u := bits.RotateLeft64(s1*5, 7) * 9
+		dst[i] = u>>11 < t[i]
+
+		tv := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= tv
+		s3 = bits.RotateLeft64(s3, 45)
+	}
+	s.s[0], s.s[1], s.s[2], s.s[3] = s0, s1, s2, s3
+}
+
 // hitsRefineMask selects the 21 refinement bits a coarse tie consumes;
 // see Hits.
 const hitsRefineMask = 1<<21 - 1

@@ -113,6 +113,18 @@ func (r *Stream) FillUint64(dst []uint64) {
 	r.src.Fill(dst)
 }
 
+// BernoulliMask overwrites dst with one Bernoulli outcome per element,
+// dst[i] = u>>11 < t[i] for the i-th of len(dst) fresh draws u. With
+// t[i] = ceil(p_i * 2^53) (devsim.BernoulliThreshold) the masks and the
+// stream state afterwards equal those of len(dst) BernoulliValidated(p_i)
+// calls, because u>>11 < ceil(p*2^53) holds exactly when Float64() < p.
+// The fill runs the generator with its state in registers
+// (Source.BernoulliMask), which is what the dense development kernel
+// needs from it. t must hold at least len(dst) thresholds.
+func (r *Stream) BernoulliMask(t []uint64, dst []bool) {
+	r.src.BernoulliMask(t, dst)
+}
+
 // Hits draws n (at most 64) Bernoulli outcomes with probability exactly
 // t * 2^-53 (t = ceil(p * 2^53)) and packs them into the returned
 // mask's low n bits; see Source.Hits for the paired 32-bit lane scheme.

@@ -103,6 +103,7 @@ type jobState struct {
 	mu              sync.Mutex
 	status          jobStatus
 	result          *engine.Result
+	resultView      *resultView // result rendered once, on first detail view
 	errMsg          string
 	submitted       time.Time
 	started         time.Time

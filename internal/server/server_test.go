@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -622,5 +623,85 @@ func TestServerMetricsRegistered(t *testing.T) {
 		if _, ok := snap.Gauges[name]; !ok {
 			t.Errorf("gauge %q not pre-registered", name)
 		}
+	}
+}
+
+// TestResultViewRenderedOnce: a done job's result view is built once and
+// reused, so repeated detail GETs and the SSE done event carry the same
+// bytes — equal to a fresh rendering — without re-summarising the
+// buffered PFD populations each time.
+func TestResultViewRenderedOnce(t *testing.T) {
+	t.Parallel()
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8}, nil)
+	_, v := postJob(t, ts, mcJobJSON)
+	if final := pollUntilTerminal(t, ts, v.ID); final.Status != string(statusDone) {
+		t.Fatalf("final status = %q (error %q), want done", final.Status, final.Error)
+	}
+	s.mu.Lock()
+	js := s.jobs[v.ID]
+	s.mu.Unlock()
+	js.mu.Lock()
+	memo := js.resultView
+	js.mu.Unlock()
+	if memo == nil {
+		t.Fatal("polling a done job left no rendered result view")
+	}
+
+	resultBytes := func(body []byte) string {
+		t.Helper()
+		var view struct {
+			Result json.RawMessage `json:"result"`
+		}
+		if err := json.Unmarshal(body, &view); err != nil {
+			t.Fatalf("decoding job view: %v", err)
+		}
+		if len(view.Result) == 0 {
+			t.Fatalf("job view carries no result: %s", body)
+		}
+		// GET bodies are indented and SSE data is compact; compare the
+		// compact form of each.
+		var buf bytes.Buffer
+		if err := json.Compact(&buf, view.Result); err != nil {
+			t.Fatalf("compacting result: %v", err)
+		}
+		return buf.String()
+	}
+	var got []string
+	for i := 0; i < 2; i++ {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID)
+		if err != nil {
+			t.Fatalf("GET job: %v", err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("reading job view: %v", err)
+		}
+		got = append(got, resultBytes(body))
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/events")
+	if err != nil {
+		t.Fatalf("GET events: %v", err)
+	}
+	events := readSSE(t, resp)
+	resp.Body.Close()
+	if len(events) == 0 || events[len(events)-1].name != "done" {
+		t.Fatalf("events = %+v, want a trailing done", events)
+	}
+	got = append(got, resultBytes([]byte(events[len(events)-1].data)))
+
+	fresh, err := json.Marshal(resultViewOf(js.result))
+	if err != nil {
+		t.Fatalf("marshal fresh result view: %v", err)
+	}
+	for i, g := range got {
+		if g != string(fresh) {
+			t.Errorf("rendering %d differs from a fresh rendering:\n got %s\nwant %s", i, g, fresh)
+		}
+	}
+	js.mu.Lock()
+	defer js.mu.Unlock()
+	if js.resultView != memo {
+		t.Error("result view was rebuilt after the first rendering")
 	}
 }

@@ -165,7 +165,14 @@ func (s *Server) viewOf(js *jobState, withResult bool) jobView {
 		v.Progress = &progressView{Run: js.runID, Stage: p.Stage, Done: p.Done, Total: p.Total}
 	}
 	if withResult && js.status == statusDone && js.result != nil {
-		v.Result = resultViewOf(js.result)
+		// A done job's result never changes, so it is rendered once:
+		// summarising a buffered run copies and sorts both PFD
+		// populations, which would otherwise repeat on every detail GET
+		// and SSE done event.
+		if js.resultView == nil {
+			js.resultView = resultViewOf(js.result)
+		}
+		v.Result = js.resultView
 	}
 	return v
 }
